@@ -27,11 +27,22 @@ type harness struct {
 
 func newHarness(t *testing.T, nshards int) *harness {
 	t.Helper()
+	return newHarnessVia(t, nshards, nil)
+}
+
+// newHarnessVia is newHarness with the router reaching shard i at
+// via(i, addr) instead of the shard's own address (nil: directly).
+func newHarnessVia(t *testing.T, nshards int, via func(i int, addr string) string) *harness {
+	t.Helper()
 	h := &harness{t: t, dir: t.TempDir()}
 	for i := 0; i < nshards; i++ {
 		s := startShard(t, t.TempDir())
 		h.shards = append(h.shards, s)
-		h.specs = append(h.specs, cluster.ShardSpec{Addr: s.Addr().String()})
+		addr := s.Addr().String()
+		if via != nil {
+			addr = via(i, addr)
+		}
+		h.specs = append(h.specs, cluster.ShardSpec{Addr: addr})
 	}
 	h.router = startRouter(t, h.dir, h.specs)
 	h.ref = startShard(t, t.TempDir())
@@ -322,11 +333,19 @@ func (h *harness) killShard(i int) {
 
 // TestClusterShardDeathMidStream kills one shard while a scatter-gather is
 // mid-stream and asserts the client sees a typed, retryable
-// ErrShardUnavailable — never a silent truncation. The rows are wide
-// (~0.5 KB) and numerous enough that each shard's remaining frames cannot
-// hide in socket buffers when the shard dies.
+// ErrShardUnavailable — never a silent truncation. Shard 1 sits behind a
+// holdProxy: once the SELECT starts, only its first frames reach the router
+// and the rest stay owed, so the kill always lands mid-stream no matter how
+// much the socket buffers could have absorbed.
 func TestClusterShardDeathMidStream(t *testing.T) {
-	h := newHarness(t, 3)
+	var proxy *holdProxy
+	h := newHarnessVia(t, 3, func(i int, addr string) string {
+		if i != 1 {
+			return addr
+		}
+		proxy = newHoldProxy(t, addr)
+		return proxy.addr()
+	})
 	c, err := wire.Dial(h.router.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -350,26 +369,39 @@ func TestClusterShardDeathMidStream(t *testing.T) {
 		}
 	}
 
+	// Let shard 1 deliver ~2 of its ~31 row frames (256 rows of ~0.5 KB
+	// each), then hold the rest back.
+	proxy.hold(256 << 10)
 	st, err := c.QueryStream(`SELECT * FROM big`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Pull one batch so the stream is demonstrably underway, then kill a
 	// shard out from under it.
-	if _, err := st.NextBatch(); err != nil {
+	first, err := st.NextBatch()
+	if err != nil {
 		t.Fatal(err)
 	}
 	h.killShard(1)
+	proxy.sever()
 	var got error
+	rows := len(first)
 	for {
-		rows, err := st.NextBatch()
+		batch, err := st.NextBatch()
 		if err != nil {
 			got = err
 			break
 		}
-		if rows == nil {
+		if batch == nil {
 			break
 		}
+		rows += len(batch)
+	}
+	if got == nil {
+		if rows != 24000 {
+			t.Fatalf("stream ended cleanly after %d of 24000 rows: silent truncation", rows)
+		}
+		t.Fatal("stream completed: the kill landed after shard 1 had delivered everything")
 	}
 	var se *wire.ServerError
 	if !errors.As(got, &se) {

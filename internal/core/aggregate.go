@@ -53,6 +53,11 @@ func (t *Table) AggregateSum(attr string, opts AggOptions) (dist.Dist, error) {
 	var mean, variance float64
 	for _, c := range contribs {
 		m := c.Mass()
+		if m <= 0 {
+			// Exists in no world. (A far-tail cross floor keeps a tiny
+			// symbolic mass whose generic marginal may round to zero.)
+			continue
+		}
 		cm := c.Mean(0)
 		cv := c.Variance(0)
 		em := m * cm           // E[X]
@@ -164,6 +169,9 @@ func (t *Table) ExpectedValue(tup *Tuple, attr string) (float64, error) {
 	d, err := t.DistOf(tup, attr)
 	if err != nil {
 		return 0, err
+	}
+	if d.Mass() <= 0 {
+		return 0, nil
 	}
 	return d.Mass() * d.Mean(0), nil
 }

@@ -259,3 +259,44 @@ func TestAggregateMatchesMonteCarloSanity(t *testing.T) {
 	}
 	_ = math.Pi
 }
+
+func TestAggregateOverFarTailCrossFloor(t *testing.T) {
+	// x < y with x ~ N(60,1), y ~ N(10,1) has Pr ≈ 4e-274: the tuple
+	// survives the selection, but its collapsed marginal rounds to zero
+	// mass. It exists in no representable world, so SUM and the expected
+	// value skip it instead of turning NaN.
+	schema := MustSchema(
+		Column{Name: "x", Type: FloatType, Uncertain: true},
+		Column{Name: "y", Type: FloatType, Uncertain: true},
+	)
+	tbl := MustTable("T", schema, nil, nil)
+	for _, mu := range [][2]float64{{60, 10}, {0, 1}} {
+		if err := tbl.Insert(Row{PDFs: []PDF{
+			{Attrs: []string{"x"}, Dist: dist.NewGaussian(mu[0], 1)},
+			{Attrs: []string{"y"}, Dist: dist.NewGaussian(mu[1], 1)},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := tbl.Select(Cmp(Col("x"), region.LT, Col("y")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 2 {
+		t.Fatalf("%d tuples survive, want 2", r.Len())
+	}
+	s, err := r.AggregateSum("x", AggOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, err := r.ExpectedValue(r.Tuples()[1], "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Mean(0); math.IsNaN(got) || !almostEqual(got, near, 1e-9) {
+		t.Errorf("E[SUM] = %v, want the near pair's %v", got, near)
+	}
+	if far, err := r.ExpectedValue(r.Tuples()[0], "x"); err != nil || far != 0 {
+		t.Errorf("far pair's expected value = %v, %v; want 0", far, err)
+	}
+}

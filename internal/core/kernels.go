@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"probdb/internal/colpdf"
+	"probdb/internal/dist"
 	"probdb/internal/exec"
 	"probdb/internal/region"
 )
@@ -51,9 +52,8 @@ type floorOp struct {
 }
 
 type crossOp struct {
-	dep        int
-	ldim, rdim int
-	op         region.Op
+	dep int
+	h   region.HalfSpace
 }
 
 // PlanSelect compiles a conjunction of atoms against the table (§III-C):
@@ -142,7 +142,7 @@ func (t *Table) PlanSelect(atoms ...Atom) (*Selection, error) {
 			if ldep != rdep {
 				return nil, fmt.Errorf("core: internal: closure failed to merge %q and %q", c.leftCol, c.rightCol)
 			}
-			crosses = append(crosses, crossOp{dep: ldep, ldim: ldim, rdim: rdim, op: c.atom.Op})
+			crosses = append(crosses, crossOp{dep: ldep, h: region.HalfSpace{L: ldim, R: rdim, Op: c.atom.Op}})
 		}
 	}
 	return &Selection{
@@ -193,14 +193,10 @@ func (s *Selection) Eval(tup *Tuple) (*Tuple, error) {
 		n := nodes[f.dep]
 		nodes[f.dep] = withDist(n, n.Dist.Floor(f.dim, f.keep))
 	}
-	// Case 2b: predicate floors over the merged joint.
+	// Case 2b: half-space floors over the merged joint.
 	for _, c := range s.crosses {
 		n := nodes[c.dep]
-		op := c.op
-		l, r := c.ldim, c.rdim
-		nodes[c.dep] = withDist(n, n.Dist.FloorWhere(func(x []float64) bool {
-			return op.Eval(x[l], x[r])
-		}))
+		nodes[c.dep] = withDist(n, dist.FloorHalfSpace(n.Dist, c.h))
 	}
 	// Remove tuples whose pdfs were completely floored.
 	for _, n := range nodes {

@@ -394,32 +394,68 @@ func TestContinuousSelectSymbolicFloor(t *testing.T) {
 }
 
 func TestContinuousCrossAttributeSelect(t *testing.T) {
-	// x < y over two independent uncertain attributes: P[X<Y] for
-	// X~N(0,1), Y~N(1,1) is Φ(1/√2) ≈ 0.7602.
-	schema := MustSchema(
-		Column{Name: "x", Type: FloatType, Uncertain: true},
-		Column{Name: "y", Type: FloatType, Uncertain: true},
-	)
-	tbl := MustTable("T", schema, nil, nil)
-	if err := tbl.Insert(Row{PDFs: []PDF{
-		{Attrs: []string{"x"}, Dist: dist.NewGaussian(0, 1)},
-		{Attrs: []string{"y"}, Dist: dist.NewGaussian(1, 1)},
-	}}); err != nil {
-		t.Fatal(err)
+	// x op y over jointly Gaussian attributes keeps the paper's symbolic
+	// floor [Gaus₂, Floor{…}] with a closed-form mass: D = y − x ~ N(d, s²)
+	// with d = µy − µx and s² = σxx + σyy − 2σxy, so P[x < y] = P[D > 0].
+	// The independent row is Φ(1/√2) ≈ 0.7602; the MVN row is one
+	// correlated joint dependency set.
+	mvn := dist.MustMultiGaussian([]float64{2, 1}, [][]float64{{2, 0.8}, {0.8, 1.5}})
+	sets := []struct {
+		name string
+		deps [][]string
+		pdfs []PDF
+		d, s float64
+	}{
+		{"independent", nil, []PDF{
+			{Attrs: []string{"x"}, Dist: dist.NewGaussian(0, 1)},
+			{Attrs: []string{"y"}, Dist: dist.NewGaussian(1, 1)},
+		}, 1, math.Sqrt2},
+		{"MVN", [][]string{{"x", "y"}}, []PDF{
+			{Attrs: []string{"x", "y"}, Dist: mvn},
+		}, -1, math.Sqrt(2 + 1.5 - 2*0.8)},
 	}
-	r, err := tbl.Select(Cmp(Col("x"), region.LT, Col("y")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 1 {
-		t.Fatal("tuple should survive")
-	}
-	got := r.ExistenceProb(r.Tuples()[0])
-	if !almostEqual(got, 0.7602499389065233, 0.02) {
-		t.Errorf("P[X<Y] = %v, want ~0.7602", got)
-	}
-	if len(r.DepSets()) != 1 {
-		t.Errorf("Δ should be merged: %v", r.DepSets())
+	for _, set := range sets {
+		upper := 1 - numeric.NormalCDF(0, set.d, set.s) // P[D > 0]
+		lower := numeric.NormalCDF(0, set.d, set.s)     // P[D < 0]
+		for _, c := range []struct {
+			op   region.Op
+			want float64
+		}{
+			{region.LT, upper}, {region.LE, upper},
+			{region.GT, lower}, {region.GE, lower},
+			{region.EQ, 0}, {region.NE, 1},
+		} {
+			schema := MustSchema(
+				Column{Name: "x", Type: FloatType, Uncertain: true},
+				Column{Name: "y", Type: FloatType, Uncertain: true},
+			)
+			tbl := MustTable("T", schema, set.deps, nil)
+			if err := tbl.Insert(Row{PDFs: set.pdfs}); err != nil {
+				t.Fatal(err)
+			}
+			r, err := tbl.Select(Cmp(Col("x"), c.op, Col("y")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.want == 0 {
+				if r.Len() != 0 {
+					t.Errorf("%s x %v y: zero-mass tuple survived", set.name, c.op)
+				}
+				continue
+			}
+			if r.Len() != 1 {
+				t.Fatalf("%s x %v y: tuple should survive", set.name, c.op)
+			}
+			if got := r.ExistenceProb(r.Tuples()[0]); !almostEqual(got, c.want, 1e-12) {
+				t.Errorf("%s: P[x %v y] = %v, want %v", set.name, c.op, got, c.want)
+			}
+			if len(r.DepSets()) != 1 {
+				t.Errorf("%s: Δ should be merged: %v", set.name, r.DepSets())
+			}
+			if _, ok := r.DepDist(r.Tuples()[0], 0).(dist.HalfFloored); !ok {
+				t.Errorf("%s x %v y: floor is %v, want a symbolic half-space floor", set.name, c.op, r.DepDist(r.Tuples()[0], 0))
+			}
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ const (
 	tagFloored
 	tagProduct
 	tagMultiGaussian
+	tagHalfFloored
 )
 
 // Encode serializes d into a compact binary form readable by Decode.
@@ -94,6 +95,12 @@ func AppendEncode(buf []byte, d Dist) []byte {
 			}
 		}
 		return buf
+	case HalfFloored:
+		buf = append(buf, tagHalfFloored)
+		buf = AppendEncode(buf, v.base)
+		buf = binary.AppendUvarint(buf, uint64(v.h.L))
+		buf = binary.AppendUvarint(buf, uint64(v.h.R))
+		return append(buf, byte(v.h.Op))
 	case *Product:
 		buf = append(buf, tagProduct)
 		buf = appendFloat(buf, v.scale)
@@ -455,6 +462,35 @@ func (d *decoder) decode() (Dist, error) {
 			}
 		}
 		return newProduct(factors, scale), nil
+	case tagHalfFloored:
+		base, err := d.decode()
+		if err != nil {
+			return nil, err
+		}
+		var h region.HalfSpace
+		for _, dim := range []*int{&h.L, &h.R} {
+			v, err := d.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			if v >= uint64(base.Dim()) {
+				return nil, d.err("half-space dimension %d of %d", v, base.Dim())
+			}
+			*dim = int(v)
+		}
+		op, err := d.byte()
+		if err != nil {
+			return nil, err
+		}
+		if op > byte(region.NE) {
+			return nil, d.err("half-space op %d", op)
+		}
+		h.Op = region.Op(op)
+		hf, ok := newHalfFloored(base, h)
+		if !ok {
+			return nil, d.err("half-space floor over a non-Gaussian base")
+		}
+		return hf, nil
 	default:
 		return nil, d.err("unknown tag %d", tag)
 	}

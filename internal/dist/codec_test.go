@@ -39,6 +39,8 @@ func TestCodecRoundTripAllTypes(t *testing.T) {
 		ProductOf(NewGaussian(0, 1), NewBernoulli(0.5)),
 		ProductOf(NewUniform(0, 1).Floor(0, region.Compare(region.GT, 0.5)), NewPoisson(3)),
 		MustMultiGaussian([]float64{1, 2}, [][]float64{{2, 0.5}, {0.5, 1}}),
+		FloorHalfSpace(ProductOf(NewGaussian(0, 1), NewGaussian(1, 2)), region.HalfSpace{L: 0, R: 1, Op: region.LT}),
+		FloorHalfSpace(MustMultiGaussian([]float64{1, 2}, [][]float64{{2, 0.5}, {0.5, 1}}), region.HalfSpace{L: 1, R: 0, Op: region.GE}),
 	}
 	for _, d := range ds {
 		got := roundTrip(t, d)

@@ -13,7 +13,8 @@ import (
 // paper describes between symbolic/factored forms and the generic Histogram
 // and Discrete fallbacks: symbolic continuous distributions are binned with
 // exact per-bin mass (CDF differences), floored distributions have their
-// bins refined at floor boundaries so no mass is smeared across a floor, and
+// bins refined at floor boundaries so no mass is smeared across a floor,
+// half-space floors clip every cell of their collapsed base exactly, and
 // independent products become the outer product of their collapsed factors.
 func Collapse(d Dist, opts Options) Dist {
 	opts = opts.normalized()
@@ -28,6 +29,8 @@ func Collapse(d Dist, opts Options) Dist {
 		return collapseCont(v.m, region.Full, opts)
 	case Floored:
 		return collapseCont(v.m, v.keep, opts)
+	case HalfFloored:
+		return collapseHalfFloored(v, opts)
 	case *Product:
 		return collapseProduct(v, opts)
 	case *MultiGaussian:

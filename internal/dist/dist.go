@@ -13,9 +13,11 @@
 //   - the generic fallbacks of §II-A: Discrete (value–probability pairs,
 //     any dimensionality) and Grid (a kind-aware k-dimensional histogram),
 //   - the Floored wrapper implementing the paper's symbolic floors
-//     ("[Gaus(5,1), Floor{[5,∞]}]"), and
+//     ("[Gaus(5,1), Floor{[5,∞]}]") and HalfFloored, its two-variable
+//     counterpart for x op y over Gaussian pairs ("[Gaus₂, Floor{x<y}]"),
 //   - the pdf primitives of §III-A: Marginal (marginalize), Floor /
-//     FloorWhere (floor), and ProductOf (product of independent pdfs).
+//     FloorHalfSpace / FloorWhere (floor), and ProductOf (product of
+//     independent pdfs).
 //
 // History-aware products — the dependent case of §III-A — are the job of the
 // model layer (internal/core), which decides *which* pdfs to multiply; this
@@ -127,7 +129,8 @@ type Options struct {
 	// unbounded support to a finite box.
 	TailEps float64
 	// CellSamples is the per-dimension subsample count used to estimate the
-	// satisfied fraction of a grid cell under a non-rectangular predicate.
+	// satisfied fraction of a grid cell under an opaque FloorWhere or
+	// MassWhere predicate. Half-space floors clip cells exactly instead.
 	CellSamples int
 	// MaxDiscreteCells caps the size of exact discrete cross products; above
 	// the cap ProductOf falls back to a Grid.

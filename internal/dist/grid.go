@@ -275,25 +275,43 @@ func cellFraction(a Axis, i int, iv region.Interval) float64 {
 
 func (g *Grid) MassWhere(pred func([]float64) bool) float64 {
 	var s numeric.KahanSum
-	x := make([]float64, len(g.axes))
+	sc := g.newCellScratch()
 	g.eachCell(func(flat int, idx []int) {
 		if g.w[flat] == 0 {
 			return
 		}
-		s.Add(g.w[flat] * g.cellSatisfiedFraction(idx, x, pred))
+		s.Add(g.w[flat] * g.cellSatisfiedFraction(idx, sc, pred))
 	})
 	return numeric.Clamp01(s.Value())
 }
 
-// cellSatisfiedFraction estimates the fraction of a cell's mass where pred
-// holds: exact for all-discrete cells, a CellSamples^k midpoint subsample
-// across the continuous dimensions otherwise. x is scratch space.
-func (g *Grid) cellSatisfiedFraction(idx []int, x []float64, pred func([]float64) bool) float64 {
-	contDims := make([]int, 0, len(g.axes))
+// cellScratch is the per-call working space of cellSatisfiedFraction,
+// allocated once per MassWhere/FloorWhere rather than once per cell.
+type cellScratch struct {
+	x        []float64 // the probe point
+	contDims []int     // the continuous axes, in order
+	sub      []int     // subsample odometer; all zeros between calls (it wraps)
+}
+
+func (g *Grid) newCellScratch() cellScratch {
+	sc := cellScratch{x: make([]float64, len(g.axes))}
 	for d, a := range g.axes {
 		if a.Kind == KindContinuous {
-			contDims = append(contDims, d)
-		} else {
+			sc.contDims = append(sc.contDims, d)
+		}
+	}
+	sc.sub = make([]int, len(sc.contDims))
+	return sc
+}
+
+// cellSatisfiedFraction estimates the fraction of a cell's mass where pred
+// holds: exact for all-discrete cells, a CellSamples^k midpoint subsample
+// across the continuous dimensions otherwise. This is the path for opaque
+// predicates only; comparison floors clip cells exactly (floorHalfSpace).
+func (g *Grid) cellSatisfiedFraction(idx []int, sc cellScratch, pred func([]float64) bool) float64 {
+	x, contDims, sub := sc.x, sc.contDims, sc.sub
+	for d, a := range g.axes {
+		if a.Kind == KindDiscrete {
 			x[d] = a.Values[idx[d]]
 		}
 	}
@@ -308,7 +326,6 @@ func (g *Grid) cellSatisfiedFraction(idx []int, x []float64, pred func([]float64
 	for range contDims {
 		total *= n
 	}
-	sub := make([]int, len(contDims))
 	hit := 0
 	for c := 0; c < total; c++ {
 		for j, d := range contDims {
@@ -471,14 +488,104 @@ func (g *Grid) refineAxis(dim int, cuts []float64) *Grid {
 // unchanged.
 func (g *Grid) FloorWhere(pred func([]float64) bool) Dist {
 	w := make([]float64, len(g.w))
-	x := make([]float64, len(g.axes))
+	sc := g.newCellScratch()
 	g.eachCell(func(flat int, idx []int) {
 		if g.w[flat] == 0 {
 			return
 		}
-		w[flat] = g.w[flat] * g.cellSatisfiedFraction(idx, x, pred)
+		w[flat] = g.w[flat] * g.cellSatisfiedFraction(idx, sc, pred)
 	})
 	return NewGrid(g.axes, w)
+}
+
+// floorHalfSpace zeroes the grid outside the half-space h exactly. Mass is
+// uniform within a continuous cell, so each cell keeps the fraction of its
+// volume inside h: the rectangle ∩ half-plane area when both compared axes
+// are continuous, an interval clip (cellFraction) for a continuous axis
+// against a discrete value, and a pointwise test for two discrete values.
+// The fraction depends only on the two compared axes, so it is tabulated
+// once per cell pair. The axes are unchanged.
+func (g *Grid) floorHalfSpace(h region.HalfSpace) *Grid {
+	checkDim(h.L, len(g.axes))
+	checkDim(h.R, len(g.axes))
+	al, ar := g.axes[h.L], g.axes[h.R]
+	nr := ar.Cells()
+	frac := make([]float64, al.Cells()*nr)
+	for i := 0; i < al.Cells(); i++ {
+		for j := 0; j < nr; j++ {
+			if h.L != h.R {
+				frac[i*nr+j] = halfSpaceCellFraction(al, i, ar, j, h.Op)
+			} else if c := al.center(i); h.Op.Eval(c, c) {
+				// x op x: one coordinate on both sides (only i == j is
+				// ever looked up).
+				frac[i*nr+j] = 1
+			}
+		}
+	}
+	w := make([]float64, len(g.w))
+	g.eachCell(func(flat int, idx []int) {
+		if g.w[flat] == 0 {
+			return
+		}
+		w[flat] = g.w[flat] * frac[idx[h.L]*nr+idx[h.R]]
+	})
+	return NewGrid(g.axes, w)
+}
+
+// halfSpaceCellFraction returns the exact fraction of the cell pair (cell i
+// of al, cell j of ar) where x_l op x_r holds, with mass uniform across
+// continuous cells.
+func halfSpaceCellFraction(al Axis, i int, ar Axis, j int, op region.Op) float64 {
+	switch {
+	case al.Kind == KindDiscrete && ar.Kind == KindDiscrete:
+		if op.Eval(al.Values[i], ar.Values[j]) {
+			return 1
+		}
+		return 0
+	case ar.Kind == KindDiscrete:
+		return setFraction(al, i, region.Compare(op, ar.Values[j]))
+	case al.Kind == KindDiscrete:
+		// u op x_r  ⇔  x_r op' u with the operands swapped.
+		return setFraction(ar, j, region.Compare(op.Flip(), al.Values[i]))
+	}
+	// Two continuous cells: the diagonal x_l = x_r has zero area, so LE
+	// equals LT, GE is the complement, EQ keeps nothing and NE everything.
+	switch op {
+	case region.EQ:
+		return 0
+	case region.NE:
+		return 1
+	}
+	lt := ltFraction(al.Edges[i], al.Edges[i+1], ar.Edges[j], ar.Edges[j+1])
+	if op == region.LT || op == region.LE {
+		return lt
+	}
+	return 1 - lt
+}
+
+// setFraction returns the fraction of cell i of a lying inside s.
+func setFraction(a Axis, i int, s region.Set) float64 {
+	var f float64
+	for _, iv := range s.Intervals() {
+		f += cellFraction(a, i, iv)
+	}
+	return math.Min(f, 1)
+}
+
+// ltFraction returns the fraction of the box [a0,a1]×[b0,b1] where x < y:
+// the area left of the diagonal, integrated in closed form. For x ≤ b0
+// every y in the cell qualifies; across [max(a0,b0), min(a1,b1)] the
+// qualifying length b1−x falls linearly; beyond b1 nothing qualifies.
+func ltFraction(a0, a1, b0, b1 float64) float64 {
+	wb := b1 - b0
+	var area float64
+	if hi := math.Min(a1, b0); hi > a0 {
+		area += (hi - a0) * wb
+	}
+	if lo, hi := math.Max(a0, b0), math.Min(a1, b1); hi > lo {
+		area += (hi - lo) * (b1 - (lo+hi)/2)
+	}
+	return numeric.Clamp01(area / ((a1 - a0) * wb))
 }
 
 func (g *Grid) Support() region.Box {

@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"probdb/internal/core"
 	"probdb/internal/dist"
 	"probdb/internal/mc"
+	"probdb/internal/numeric"
 	"probdb/internal/pws"
 	"probdb/internal/region"
 )
@@ -122,6 +124,62 @@ func TestContinuousJoinMatchesMonteCarlo(t *testing.T) {
 		tol := mc.Tolerance(p, nWorlds) + 0.02
 		if math.Abs(p-est[k]) > tol {
 			t.Errorf("pair %s: model %v vs MC %v (tol %v)", k, p, est[k], tol)
+		}
+	}
+}
+
+func TestGaussianJoinExactMatchesMonteCarlo(t *testing.T) {
+	// A seeded Gaussian join under x < y: every candidate pair has a
+	// positive exact probability, so every pair must survive, each with
+	// the closed form Φ((µy − µx)/√(σx² + σy²)) and within the Monte-Carlo
+	// confidence band with no grid allowance. The last left row sits far
+	// above every right row: its pairs are tiny but positive.
+	r := rand.New(rand.NewSource(41))
+	var ap, bp [][3]float64
+	for i := 0; i < 4; i++ {
+		ap = append(ap, [3]float64{r.Float64() * 10, 0.5 + r.Float64()*2, 0})
+	}
+	ap = append(ap, [3]float64{25, 1, 0})
+	for i := 0; i < 3; i++ {
+		bp = append(bp, [3]float64{r.Float64() * 10, 0.5 + r.Float64()*2, 0})
+	}
+	reg := core.NewRegistry()
+	a := gaussTable(t, reg, "A", "ka", "x", ap)
+	b := gaussTable(t, reg, "B", "kb", "y", bp)
+	j, err := a.Join(b, core.Cmp(core.Col("x"), region.LT, core.Col("y")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Len() != len(ap)*len(bp) {
+		t.Fatalf("%d pairs survive, want all %d", j.Len(), len(ap)*len(bp))
+	}
+	model := map[string]float64{}
+	for _, tup := range j.Tuples() {
+		ka, _ := j.Value(tup, "ka")
+		kb, _ := j.Value(tup, "kb")
+		model[ka.Render()+"|"+kb.Render()] = j.ExistenceProb(tup)
+	}
+	wa := mc.SampleWorlds(a, nWorlds, 42, "ka")
+	wb := mc.SampleWorlds(b, nWorlds, 43, "kb")
+	est := mc.JoinExistence(wa, wb, func(ra, rb pws.Row) bool { return ra.Vals["x"] < rb.Vals["y"] })
+	for i, x := range ap {
+		for k, y := range bp {
+			key := fmt.Sprintf("%d|%d", i, k)
+			p, ok := model[key]
+			if !ok {
+				t.Errorf("pair %s missing", key)
+				continue
+			}
+			want := numeric.NormalCDF(0, x[0]-y[0], math.Hypot(x[1], y[1]))
+			if math.Abs(p-want) > 1e-12 {
+				t.Errorf("pair %s: model %v, closed form %v", key, p, want)
+			}
+			if p <= 0 {
+				t.Errorf("pair %s: exact probability %v dropped to zero", key, p)
+			}
+			if tol := mc.Tolerance(p, nWorlds); math.Abs(p-est[key]) > tol {
+				t.Errorf("pair %s: model %v vs MC %v (tol %v)", key, p, est[key], tol)
+			}
 		}
 	}
 }

@@ -148,3 +148,19 @@ func (b Box) Intersect(o Box) Box {
 	}
 	return out
 }
+
+// HalfSpace is the structured comparison x[L] op x[R] between two
+// dimensions of a joint domain — the region a cross atom such as l.x < r.x
+// keeps. It is the only non-rectangular region selections produce, which is
+// what lets the distribution layer floor it exactly (closed-form Gaussian
+// mass, exact cell clipping) instead of sampling an opaque predicate.
+type HalfSpace struct {
+	L, R int
+	Op   Op
+}
+
+// Contains reports whether the point x satisfies x[L] op x[R].
+func (h HalfSpace) Contains(x []float64) bool { return h.Op.Eval(x[h.L], x[h.R]) }
+
+// String renders the constraint over 0-based dimension names, e.g. "x0 < x1".
+func (h HalfSpace) String() string { return fmt.Sprintf("x%d %v x%d", h.L, h.Op, h.R) }
